@@ -96,14 +96,14 @@ def candidate_dists(
 
 
 def cdist_cc(C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
-    """Small dense centroid↔centroid distance matrix (driver-side)."""
-    d2 = (
-        np.einsum("ij,ij->i", C1, C1)[:, None]
-        + np.einsum("ij,ij->i", C2, C2)[None, :]
-        - 2.0 * (C1 @ C2.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    """Small dense centroid↔centroid distance matrix (driver-side).
+
+    Computed from coordinate differences rather than the ``x²+c²−2x·c``
+    expansion: the diagonal is exactly 0, the matrix is bit-symmetric and
+    nothing cancels on offset data. The temporary is k×k×d floats.
+    """
+    diff = C1[:, None] - C2[None]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:

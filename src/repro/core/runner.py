@@ -1,23 +1,29 @@
 """Drive k-means iterations over a kernel: locally or on Spark.
 
-Both runners share the same protocol (§5.1.2 incremental refinement):
+One driver loop (``_Runner.run``) serves both runners and follows the
+paper's incremental refinement (§5.1.2):
 
 1. Build the per-iteration :class:`IterCtx` on the driver (centroid
-   drifts, cc-matrix, groups, …) and broadcast it.
-2. Each partition runs ``kernel.assign`` over its cached block and
+   drifts, cc-matrix, groups, …).
+2. Each partition runs ``kernel.assign`` over its block and
    incrementally updates its per-cluster sum vectors/counts with only
    the points that changed cluster (the paper's sum-vector refinement —
-   no second pass over the data).
-3. Per-cluster partials are merged — on Spark via ``reduceByKey`` — and
-   the driver divides sum vectors by counts to refine the centroids.
+   no second pass over the data). It returns a dense partial: its k×d
+   sum vectors, its k counts and its counters.
+3. The driver sums the partials in partition order, so the result does
+   not depend on task scheduling, and divides the sum vectors of the
+   non-empty clusters by their counts to refine the centroids.
 
-``SparkRunner`` keeps points + bound state in a cached RDD of partition
-payloads, maps the assignment step with ``mapPartitions``, and
-unpersists the previous state each iteration.
+The runners differ only in where the partitions live. ``LocalRunner``
+keeps one in-process partition. ``SparkRunner`` keeps points + bound
+state in a cached RDD of partition payloads, broadcasts each ctx, maps
+the step with ``mapPartitions`` and ``collect``s the partials — one
+Spark job per iteration — and unpersists the previous state.
 """
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +42,7 @@ class RunResult:
     assign_times: list[float] = field(default_factory=list)
     refine_times: list[float] = field(default_factory=list)
     iter_times: list[float] = field(default_factory=list)
-    assign: np.ndarray | None = None   # final assignment (local runs only)
+    assign: np.ndarray | None = None   # final assignment
     sse: float = float("nan")
 
     @property
@@ -90,76 +96,24 @@ def _refine_increment(
     counters.data_access += len(moved)
 
 
-class LocalRunner:
-    """Single-process reference runner (used by tests and the tuner)."""
-
-    def run(
-        self,
-        X: np.ndarray,
-        k: int,
-        kernel: Kernel,
-        n_iters: int = 10,
-        seed: int = 0,
-        init: str = "kmeans++",
-        centers0: np.ndarray | None = None,
-    ) -> RunResult:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        centers = (
-            centers0.astype(np.float64).copy()
-            if centers0 is not None
-            else _init_centers(X, k, seed, init)
-        )
-        k = centers.shape[0]
-        counters = Counters()
-        st = kernel.init_state(X)
-        sv = np.zeros_like(centers)
-        cnt = np.zeros(k)
-        groups_cache = None
-        prev = centers.copy()
-        res = RunResult(centers=centers, counters=counters, iters_run=0)
-        for t in range(n_iters):
-            t_iter = time.perf_counter()
-            ctx = make_ctx(
-                centers, prev, t, kernel.needs,
-                groups=groups_cache if kernel.fixed_groups else None,
-            )
-            if kernel.fixed_groups and groups_cache is None:
-                groups_cache = ctx.groups
-            counters.dist += ctx.driver_dist
-            a_prev = st["a"].copy()
-            t0 = time.perf_counter()
-            kernel.assign(X, st, ctx, counters)
-            t_assign = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if kernel.traditional_refine:
-                _refine_traditional(X, st["a"], sv, cnt, counters)
-            else:
-                _refine_increment(X, a_prev, st["a"], sv, cnt, counters)
-            nonempty = cnt > 0
-            new_centers = centers.copy()
-            new_centers[nonempty] = sv[nonempty] / cnt[nonempty, None]
-            t_refine = time.perf_counter() - t0
-            prev, centers = centers, new_centers
-            res.assign_times.append(t_assign)
-            res.refine_times.append(t_refine)
-            res.iter_times.append(time.perf_counter() - t_iter)
-            res.iters_run = t + 1
-            counters.footprint_bytes = max(
-                counters.footprint_bytes, kernel.footprint(st)
-            )
-            if t > 0 and np.array_equal(prev, centers):
-                break
-        counters.assign_time = sum(res.assign_times)
-        counters.refine_time = sum(res.refine_times)
-        res.centers = centers
-        res.assign = st["a"]
-        res.sse = sse(X, centers, st["a"])
-        return res
+def _init_payload(X: np.ndarray, k: int, kernel: Kernel) -> dict:
+    """One partition's state: its points, kernel state and running sums."""
+    return {
+        "X": X,
+        "st": kernel.init_state(X),
+        "sv": np.zeros((k, X.shape[1])),
+        "cnt": np.zeros(k),
+    }
 
 
-def _spark_step(payload: dict, kernel: Kernel, ctx: IterCtx):
-    """One partition's assignment + incremental refinement step."""
-    X, st = payload["X"], payload["st"]
+def _step(payload: dict, kernel: Kernel, ctx: IterCtx):
+    """One partition's assignment + refinement; returns its dense partial.
+
+    ``payload`` is updated in place. The partial is ``(sv, cnt, counters)``
+    with the sum-vector rows of empty clusters zeroed, so round-off left
+    there by the incremental updates never reaches the driver.
+    """
+    X, st, sv, cnt = payload["X"], payload["st"], payload["sv"], payload["cnt"]
     c = Counters()
     a_prev = st["a"].copy()
     t0 = time.perf_counter()
@@ -167,25 +121,25 @@ def _spark_step(payload: dict, kernel: Kernel, ctx: IterCtx):
     c.assign_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     if kernel.traditional_refine:
-        _refine_traditional(X, st["a"], payload["sv"], payload["cnt"], c)
+        _refine_traditional(X, st["a"], sv, cnt, c)
     else:
-        _refine_increment(X, a_prev, st["a"], payload["sv"], payload["cnt"], c)
+        _refine_increment(X, a_prev, st["a"], sv, cnt, c)
     c.refine_time = time.perf_counter() - t0
     c.footprint_bytes = kernel.footprint(st)
-    partials = [
-        (int(j), (payload["sv"][j].copy(), float(payload["cnt"][j])))
-        for j in range(payload["sv"].shape[0])
-        if payload["cnt"][j] > 0
-    ]
-    return payload, partials, c
+    part_sv = sv.copy()
+    part_sv[cnt == 0] = 0.0
+    return part_sv, cnt.copy(), c
 
 
-class SparkRunner:
-    """Distributed runner: cached partition-state RDD + reduceByKey refine."""
+class _Runner:
+    """The driver loop both runners share.
 
-    def __init__(self, spark, n_partitions: int = 8):
-        self.spark = spark
-        self.n_partitions = n_partitions
+    Subclasses supply ``_partitions(X, k, kernel)``: a context manager
+    that sets up the partition payloads and yields ``(step, final_assign)``.
+    ``step(ctx)`` applies :func:`_step` to every partition and returns
+    the partials in partition order; ``final_assign()`` returns the
+    assignment of all points. Leaving the context releases the state.
+    """
 
     def run(
         self,
@@ -197,7 +151,6 @@ class SparkRunner:
         init: str = "kmeans++",
         centers0: np.ndarray | None = None,
     ) -> RunResult:
-        sc = self.spark.sparkContext
         X = np.ascontiguousarray(X, dtype=np.float64)
         centers = (
             centers0.astype(np.float64).copy()
@@ -205,42 +158,85 @@ class SparkRunner:
             else _init_centers(X, k, seed, init)
         )
         k = centers.shape[0]
-        d = X.shape[1]
-        blocks = np.array_split(X, self.n_partitions)
-
-        def _init_payload(block):
-            return {
-                "X": block,
-                "st": kernel.init_state(block),
-                "sv": np.zeros((k, d)),
-                "cnt": np.zeros(k),
-            }
-
-        rdd = sc.parallelize(blocks, len(blocks)).mapPartitions(
-            lambda it: [_init_payload(b) for b in it], preservesPartitioning=True
-        ).cache()
-        rdd.count()  # materialize initial state
-        prev_cached = rdd
-
-        counters = Counters()
         groups_cache = None
         prev = centers.copy()
-        res = RunResult(centers=centers, counters=counters, iters_run=0)
+        res = RunResult(centers=centers, counters=Counters(), iters_run=0)
+        with self._partitions(X, k, kernel) as (step, final_assign):
+            for t in range(n_iters):
+                t_iter = time.perf_counter()
+                ctx = make_ctx(
+                    centers, prev, t, kernel.needs,
+                    groups=groups_cache if kernel.fixed_groups else None,
+                )
+                if kernel.fixed_groups and groups_cache is None:
+                    groups_cache = ctx.groups
+                partials = step(ctx)
+                t0 = time.perf_counter()  # driver-side combine
+                sv = np.zeros_like(centers)
+                cnt = np.zeros(k)
+                step_c = Counters(dist=ctx.driver_dist)
+                for p_sv, p_cnt, c in partials:
+                    sv += p_sv
+                    cnt += p_cnt
+                    step_c += c
+                nonempty = cnt > 0
+                new_centers = centers.copy()
+                new_centers[nonempty] = sv[nonempty] / cnt[nonempty, None]
+                # Partitions run in parallel, so a phase lasts as long as
+                # its slowest partition.
+                step_c.assign_time = max(c.assign_time for *_, c in partials)
+                step_c.refine_time = max(c.refine_time for *_, c in partials) + (
+                    time.perf_counter() - t0
+                )
+                res.counters += step_c
+                prev, centers = centers, new_centers
+                res.assign_times.append(step_c.assign_time)
+                res.refine_times.append(step_c.refine_time)
+                res.iter_times.append(time.perf_counter() - t_iter)
+                res.iters_run = t + 1
+                if t > 0 and np.array_equal(prev, centers):
+                    break
+            res.assign = final_assign()
+        res.centers = centers
+        res.sse = sse(X, centers, res.assign)
+        return res
+
+
+class LocalRunner(_Runner):
+    """Single-process reference runner (used by tests and the tuner)."""
+
+    @contextmanager
+    def _partitions(self, X: np.ndarray, k: int, kernel: Kernel):
+        payload = _init_payload(X, k, kernel)
+        yield (lambda ctx: [_step(payload, kernel, ctx)]), (lambda: payload["st"]["a"])
+
+
+class SparkRunner(_Runner):
+    """Distributed runner: cached partition-state RDD, partials collected."""
+
+    def __init__(self, spark, n_partitions: int = 8):
+        self.spark = spark
+        self.n_partitions = n_partitions
+
+    @contextmanager
+    def _partitions(self, X: np.ndarray, k: int, kernel: Kernel):
+        sc = self.spark.sparkContext
+        blocks = np.array_split(X, self.n_partitions)
+        rdd = sc.parallelize(blocks, len(blocks)).mapPartitions(
+            lambda it: [_init_payload(b, k, kernel) for b in it],
+            preservesPartitioning=True,
+        ).cache()
+        prev_cached = rdd
         kernel_bc = sc.broadcast(kernel)
         ctx_bcs: list = []
-        for t in range(n_iters):
-            t_iter = time.perf_counter()
-            ctx = make_ctx(
-                centers, prev, t, kernel.needs,
-                groups=groups_cache if kernel.fixed_groups else None,
-            )
-            if kernel.fixed_groups and groups_cache is None:
-                groups_cache = ctx.groups
-            counters.dist += ctx.driver_dist
+
+        def step(ctx: IterCtx) -> list:
+            nonlocal rdd, prev_cached
             ctx_bc = sc.broadcast(ctx)
+            ctx_bcs.append(ctx_bc)
             new_rdd = rdd.mapPartitions(
                 lambda it, _k=kernel_bc, _c=ctx_bc: [
-                    _spark_step(p, _k.value, _c.value) for p in it
+                    (p, _step(p, _k.value, _c.value)) for p in it
                 ],
                 preservesPartitioning=True,
             ).cache()
@@ -248,72 +244,29 @@ class SparkRunner:
             # iteration's ctx broadcast can be destroyed and closure
             # serialization stays O(1) in the iteration count.
             new_rdd.localCheckpoint()
-            # One action per iteration: the sum-vector partials arrive
-            # keyed by cluster id and are merged with reduceByKey; the
-            # per-partition counters ride along under sentinel keys.
-            merged_rows = (
-                new_rdd.flatMap(
-                    lambda r: [((0, j), sc_) for j, sc_ in r[1]]
-                    + [((1, 0), r[2])]
-                )
-                .reduceByKey(
-                    lambda u, v: (u[0] + v[0], u[1] + v[1])
-                    if isinstance(u, tuple)
-                    else u + v
-                )
-                .collect()
-            )
-            part_counters = Counters()
-            new_centers = centers.copy()
-            t0 = time.perf_counter()  # driver-side combine only
-            for (kind, j), val in merged_rows:
-                if kind == 0:
-                    svj, cntj = val
-                    if cntj > 0:
-                        new_centers[j] = svj / cntj
-                else:
-                    part_counters = val
-            counters.dist += part_counters.dist
-            counters.data_access += part_counters.data_access
-            counters.bound_access += part_counters.bound_access
-            counters.bound_update += part_counters.bound_update
-            counters.node_access += part_counters.node_access
-            counters.footprint_bytes = max(
-                counters.footprint_bytes, part_counters.footprint_bytes
-            )
-            # Partition phase times are summed by the counter merge; with
-            # p equal partitions running in parallel, wall-clock ≈ sum/p.
-            p = len(blocks)
-            t_assign = part_counters.assign_time / p
-            t_refine = part_counters.refine_time / p + (time.perf_counter() - t0)
-            counters.assign_time += t_assign
-            counters.refine_time += t_refine
+            # One action per iteration: collect returns the dense
+            # partials in partition order.
+            partials = new_rdd.map(lambda r: r[1]).collect()
             # The collect above materialized (and checkpointed) new_rdd;
             # the next iteration maps a lazy view of it. The previous
             # iteration's cached state can now be released.
-            if prev_cached is not None:
-                prev_cached.unpersist()
+            prev_cached.unpersist()
             prev_cached = new_rdd
             rdd = new_rdd.map(lambda r: r[0])
             # unpersist (not destroy): the cached PythonRDD's serialized
             # function still references this broadcast; destroy would
             # invalidate later task serialization. All ctx broadcasts
-            # are destroyed together after the final collect.
+            # are destroyed together when the run ends.
             ctx_bc.unpersist()
-            ctx_bcs.append(ctx_bc)
-            prev, centers = centers, new_centers
-            res.assign_times.append(t_assign)
-            res.refine_times.append(t_refine)
-            res.iter_times.append(time.perf_counter() - t_iter)
-            res.iters_run = t + 1
-            if t > 0 and np.array_equal(prev, centers):
-                break
-        a = np.concatenate(rdd.map(lambda p: p["st"]["a"]).collect())
-        prev_cached.unpersist()
-        for bc in ctx_bcs:
-            bc.destroy()
-        kernel_bc.destroy()
-        res.centers = centers
-        res.assign = a
-        res.sse = sse(X, centers, a)
-        return res
+            return partials
+
+        try:
+            rdd.count()  # materialize initial state
+            yield step, lambda: np.concatenate(
+                rdd.map(lambda p: p["st"]["a"]).collect()
+            )
+        finally:
+            prev_cached.unpersist()
+            for bc in ctx_bcs:
+                bc.destroy()
+            kernel_bc.destroy()

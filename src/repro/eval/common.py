@@ -3,9 +3,11 @@
 §7.1 protocol: total time of the first 10 iterations, averaged over
 several k-means++ seeds (paper: 10 seeds; default here: 2 — documented
 in EXPERIMENTS.md). Speedups are computed from algorithm time
-(assignment + refinement as measured inside the partitions/driver),
-which excludes Spark job-scheduling overhead — the quantity comparable
-to the paper's single-process measurements.
+(assignment + refinement). Per iteration, each phase counts the slowest
+partition's time (partitions run in parallel), and refinement adds the
+driver-side combine of the partials. It excludes Spark job-scheduling
+overhead — the quantity comparable to the paper's single-process
+measurements.
 """
 from __future__ import annotations
 

@@ -56,8 +56,18 @@ def test_write_result_roundtrip(tmp_path, monkeypatch):
     "job", ["run_kmeans", "table2", "table3", "table4", "table5", "table6"]
 )
 def test_job_entrypoints_importable(job):
-    path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{job}.py")
-    spec = importlib.util.spec_from_file_location(f"job_{job}", path)
+    from pyspark import SparkContext
+
+    active = SparkContext._active_spark_context
+    name = "run_kmeans" if job == "run_kmeans" else "run_table"
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"job_{name}", path)
     mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)  # must import without starting Spark
+    spec.loader.exec_module(mod)
     assert hasattr(mod, "main")
+    if job != "run_kmeans":
+        n = int(job.removeprefix("table"))
+        run = mod.resolve(mod.parse_args(["--table", str(n)]).table)
+        assert run.__name__ == f"run_table{n}"
+    # must import (and resolve) without starting Spark
+    assert SparkContext._active_spark_context is active

@@ -1,6 +1,7 @@
-"""SparkRunner ≡ LocalRunner: the distributed mapPartitions/reduceByKey
-pipeline must not change any result (exact k-means is partition-
-independent)."""
+"""SparkRunner ≡ LocalRunner: the distributed pipeline (mapPartitions
+step, dense partials collected and summed in partition order by the
+driver loop both runners share) must not change any result (exact
+k-means is partition-independent)."""
 import numpy as np
 import pytest
 
@@ -33,7 +34,45 @@ def test_partition_count_invariance(spark, X, n_partitions):
     got = SparkRunner(spark, n_partitions=n_partitions).run(
         X, 8, make_kernel("yinyang"), n_iters=5, seed=0
     )
-    assert np.allclose(ref.centers, got.centers)
+    if n_partitions == 1:
+        # one partition through the shared loop: the same arithmetic
+        assert np.array_equal(ref.centers, got.centers)
+    else:
+        assert np.allclose(ref.centers, got.centers)
+
+
+def test_spark_runs_deterministic(spark, X):
+    """Partials are summed in partition order, so reruns are bit-identical."""
+    a, b = (
+        SparkRunner(spark, n_partitions=4).run(
+            X, 12, make_kernel("yinyang"), n_iters=6, seed=3
+        )
+        for _ in range(2)
+    )
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.assign, b.assign)
+
+
+def test_spark_run_releases_cached_state(spark, X, monkeypatch):
+    """Cached RDDs are released after a run, also after one that raised."""
+    import repro.core.runner as runner_mod
+
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    SparkRunner(spark, n_partitions=2).run(X, 5, make_kernel("lloyd"), n_iters=3)
+    assert persistent().size() == before
+
+    make_ctx = runner_mod.make_ctx
+
+    def failing_make_ctx(centers, prev, t, *args, **kwargs):
+        if t == 2:
+            raise RuntimeError("injected")
+        return make_ctx(centers, prev, t, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "make_ctx", failing_make_ctx)
+    with pytest.raises(RuntimeError, match="injected"):
+        SparkRunner(spark, n_partitions=2).run(X, 5, make_kernel("lloyd"), n_iters=5)
+    assert persistent().size() == before
 
 
 def test_spark_counters_match_local_distances(spark, X):
