@@ -19,6 +19,15 @@ Contract:
 
 Every kernel is exact: after each call, ``st['a']`` must equal plain
 Lloyd's assignment for the same centroids (ties aside).
+
+Kernels get every point↔centroid and node↔centroid distance from
+:mod:`repro.core.linalg` (``full_dists``, ``pair_dists``,
+``list_dists``, ``candidate_dists``) and never write the distance
+formula themselves.
+The only geometry left in kernels is the kd-tree filtering rule
+(``kdindex``) and blockvector's bound. A tree node's distances read no
+stored point, so the caller passes ``counters=None`` to ``linalg`` and
+charges only ``counters.dist`` itself.
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists, pair_dists
+from ..linalg import full_dists, list_dists, pair_dists
 from ..metrics import Counters
 from .base import Kernel, register
 
@@ -78,19 +78,9 @@ class DrakeKernel(Kernel):
         if len(fail) == 0:
             return
         m = len(fail)
-        # Exact distances to assigned + stored centroids (b+1 per point),
-        # via a row-block einsum so X rows are not replicated b+1 times.
+        # Exact distances to assigned + stored centroids (b+1 per point).
         all_ids = np.concatenate([a[fail, None], ids[fail]], axis=1)
-        Cg = ctx.centers[all_ids]                      # (m, b+1, d)
-        d2 = (
-            st["x2"][fail][:, None]
-            + ctx.c2[all_ids]
-            - 2.0 * np.einsum("md,mbd->mb", X[fail], Cg)
-        )
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2)
-        counters.dist += m * (b + 1)
-        counters.data_access += m * (b + 1)
+        d = list_dists(X, ctx.centers, fail, all_ids, counters, x2=st["x2"], c2=ctx.c2)
         order = np.argsort(d, axis=1)
         ds = np.take_along_axis(d, order, axis=1)
         cs = np.take_along_axis(all_ids, order, axis=1)

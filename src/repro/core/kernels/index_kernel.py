@@ -12,24 +12,50 @@ from __future__ import annotations
 import numpy as np
 
 from ...index import BALL_INDEXES, build_kdtree
-from ...index.base import compute_spans
 from ..ctx import IterCtx
+from ..linalg import full_dists
 from ..metrics import Counters
 from .base import Kernel, register
 
 
-def ball_node_dists(pivot: np.ndarray, C: np.ndarray, cand: np.ndarray, c2: np.ndarray | None) -> np.ndarray:
-    Cc = C[cand]
-    c2c = np.einsum("ij,ij->i", Cc, Cc) if c2 is None else c2[cand]
-    d2 = c2c + pivot @ pivot - 2.0 * (Cc @ pivot)
-    return np.sqrt(np.maximum(d2, 0.0))
+class _TreeKernel(Kernel):
+    """The traversal both index kernels share; they differ in ``_prune``.
+
+    ``st["tree"]`` is the partition's :class:`~repro.index.ArrayTree`.
+    """
+
+    needs = frozenset({"c2"})
+
+    def _prune(
+        self, st: dict, i: int, cand: np.ndarray, ctx: IterCtx, counters: Counters
+    ) -> np.ndarray:
+        """The candidates of ``cand`` that may be nearest to a point of node ``i``."""
+        raise NotImplementedError
+
+    def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
+        tree, a = st["tree"], st["a"]
+        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(ctx.k))]
+        while stack:
+            i, cand = stack.pop()
+            counters.node_access += 1
+            cand2 = self._prune(st, i, cand, ctx, counters)
+            pts = tree.perm[tree.pt_start[i] : tree.pt_end[i]]
+            if len(cand2) == 1:
+                a[pts] = cand2[0]
+            elif tree.is_leaf(i):
+                D = full_dists(X[pts], ctx.centers[cand2], counters, c2=ctx.c2[cand2])
+                a[pts] = cand2[D.argmin(1)]
+            else:
+                stack.extend((int(c), cand2) for c in tree.children(i))
+
+    def footprint(self, st: dict) -> int:
+        # The base sums the state's other arrays (the kd boxes).
+        return st["tree"].nbytes() + super().footprint(st)
 
 
 @register("index")
-class IndexKernel(Kernel):
+class IndexKernel(_TreeKernel):
     """Pluggable ball-index kernel: balltree (default), hkt, mtree, covertree."""
-
-    needs = frozenset({"c2"})
 
     def __init__(self, index: str = "balltree", capacity: int = 30, seed: int = 0):
         if index not in BALL_INDEXES:
@@ -39,55 +65,21 @@ class IndexKernel(Kernel):
         self.seed = seed
 
     def init_state(self, X: np.ndarray) -> dict:
-        tree = BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed)
         return {
             "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "tree": tree,
-            "spans": compute_spans(tree),
+            "tree": BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed),
         }
 
-    def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        tree, spans, a = st["tree"], st["spans"], st["a"]
-        C = ctx.centers
-        all_cand = np.arange(ctx.k)
-        stack: list[tuple[int, np.ndarray]] = [(0, all_cand)]
-        while stack:
-            i, cand = stack.pop()
-            counters.node_access += 1
-            d = ball_node_dists(tree.pivot[i], C, cand, ctx.c2)
-            counters.dist += len(cand)
-            b = int(d.argmin())
-            dmin = float(d[b])
-            r = tree.radius[i]
-            keep = d <= dmin + 2.0 * r
-            cand2 = cand[keep]
-            lo, hi = spans[i]
-            if len(cand2) == 1:
-                a[tree.perm[lo:hi]] = cand2[0]
-            elif tree.is_leaf(i):
-                pts = tree.perm[lo:hi]
-                P = X[pts]
-                D = (
-                    np.einsum("ij,ij->i", P, P)[:, None]
-                    + ctx.c2[cand2][None, :]
-                    - 2.0 * P @ C[cand2].T
-                )
-                counters.dist += len(pts) * len(cand2)
-                counters.data_access += len(pts) * len(cand2)
-                a[pts] = cand2[D.argmin(1)]
-            else:
-                for c in tree.children(i):
-                    stack.append((int(c), cand2))
-
-    def footprint(self, st: dict) -> int:
-        return st["tree"].nbytes() + st["spans"].nbytes
+    def _prune(self, st, i, cand, ctx, counters):
+        tree = st["tree"]
+        d = full_dists(tree.pivot[i : i + 1], ctx.centers[cand], c2=ctx.c2[cand])[0]
+        counters.dist += len(cand)
+        return cand[d <= d.min() + 2.0 * tree.radius[i]]
 
 
 @register("kdindex")
-class KDIndexKernel(Kernel):
+class KDIndexKernel(_TreeKernel):
     """kd-tree filtering algorithm (Kanungo et al. [45])."""
-
-    needs = frozenset({"c2"})
 
     def __init__(self, capacity: int = 1, seed: int = 0):
         self.capacity = capacity
@@ -97,51 +89,24 @@ class KDIndexKernel(Kernel):
         kt = build_kdtree(X, capacity=self.capacity, seed=self.seed)
         return {
             "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "kt": kt,
-            "spans": compute_spans(kt.tree),
+            "tree": kt.tree,
+            "bb_min": kt.bb_min,
+            "bb_max": kt.bb_max,
         }
 
-    def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        kt, spans, a = st["kt"], st["spans"], st["a"]
-        tree = kt.tree
-        C = ctx.centers
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(ctx.k))]
-        while stack:
-            i, cand = stack.pop()
-            counters.node_access += 1
-            lo_box, hi_box = kt.bb_min[i], kt.bb_max[i]
-            mid = 0.5 * (lo_box + hi_box)
-            Cc = C[cand]
-            dmid = np.einsum("ij,ij->i", Cc - mid, Cc - mid)
-            counters.dist += len(cand)
-            zstar = int(dmid.argmin())
-            zc = Cc[zstar]
-            # Kanungo corner rule: z is dominated by z* over the whole box
-            # iff the extreme corner v (towards z) is closer to z*.
-            v = np.where(Cc > zc[None, :], hi_box[None, :], lo_box[None, :])
-            dz = np.einsum("ij,ij->i", Cc - v, Cc - v)
-            dzs = np.einsum("ij,ij->i", zc[None, :] - v, zc[None, :] - v)
-            counters.dist += 2 * len(cand)
-            keep = dz < dzs
-            keep[zstar] = True
-            cand2 = cand[keep]
-            lo, hi = spans[i]
-            if len(cand2) == 1:
-                a[tree.perm[lo:hi]] = cand2[0]
-            elif tree.is_leaf(i):
-                pts = tree.perm[lo:hi]
-                P = X[pts]
-                D = (
-                    np.einsum("ij,ij->i", P, P)[:, None]
-                    + ctx.c2[cand2][None, :]
-                    - 2.0 * P @ C[cand2].T
-                )
-                counters.dist += len(pts) * len(cand2)
-                counters.data_access += len(pts) * len(cand2)
-                a[pts] = cand2[D.argmin(1)]
-            else:
-                for c in tree.children(i):
-                    stack.append((int(c), cand2))
-
-    def footprint(self, st: dict) -> int:
-        return st["kt"].nbytes() + st["spans"].nbytes
+    def _prune(self, st, i, cand, ctx, counters):
+        lo_box, hi_box = st["bb_min"][i], st["bb_max"][i]
+        mid = 0.5 * (lo_box + hi_box)
+        Cc = ctx.centers[cand]
+        dmid = np.einsum("ij,ij->i", Cc - mid, Cc - mid)
+        zstar = int(dmid.argmin())
+        zc = Cc[zstar]
+        # Kanungo corner rule: z is dominated by z* over the whole box
+        # iff the extreme corner v (towards z) is closer to z*.
+        v = np.where(Cc > zc[None, :], hi_box[None, :], lo_box[None, :])
+        dz = np.einsum("ij,ij->i", Cc - v, Cc - v)
+        dzs = np.einsum("ij,ij->i", zc[None, :] - v, zc[None, :] - v)
+        counters.dist += 3 * len(cand)
+        keep = dz < dzs
+        keep[zstar] = True
+        return cand[keep]

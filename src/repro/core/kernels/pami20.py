@@ -45,15 +45,9 @@ class Pami20Kernel(Kernel):
             cand = cand[cand != j]
             if len(cand) == 0:
                 continue
-            D = (
-                st["x2"][rows, None]
-                + ctx.c2[cand][None, :]
-                - 2.0 * X[rows] @ ctx.centers[cand].T
+            D = full_dists(
+                X[rows], ctx.centers[cand], counters, x2=st["x2"][rows], c2=ctx.c2[cand]
             )
-            np.maximum(D, 0.0, out=D)
-            np.sqrt(D, out=D)
-            counters.dist += len(rows) * len(cand)
-            counters.data_access += len(rows) * len(cand)
             dmin = D.min(1)
             amin = cand[D.argmin(1)]
             upd = dmin < best[rows]

@@ -30,35 +30,12 @@ class SearchKernel(Kernel):
             "tree": build_balltree(X, capacity=self.capacity),
         }
 
-    def _range_search(self, tree, X, q, thresh, counters: Counters) -> np.ndarray:
-        """Counting variant of ArrayTree.range_search."""
-        out: list[np.ndarray] = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            counters.node_access += 1
-            dq = float(np.linalg.norm(q - tree.pivot[i]))
-            counters.dist += 1
-            if dq - tree.radius[i] > thresh:
-                continue
-            if dq + tree.radius[i] <= thresh:
-                out.append(tree._covered(i))
-            elif tree.is_leaf(i):
-                ids = tree.leaf_points(i)
-                d = np.linalg.norm(X[ids] - q[None, :], axis=1)
-                counters.dist += len(ids)
-                counters.data_access += len(ids)
-                out.append(ids[d <= thresh])
-            else:
-                stack.extend(tree.children(i).tolist())
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         a = np.full(n, -1, dtype=np.int64)
         tree = st["tree"]
         for j in range(k):
-            ids = self._range_search(tree, X, ctx.centers[j], float(ctx.s[j]), counters)
+            ids = tree.range_search(X, ctx.centers[j], float(ctx.s[j]), counters)
             ids = ids[a[ids] < 0]  # ball overlaps only at boundaries
             a[ids] = j
         rest = np.where(a < 0)[0]

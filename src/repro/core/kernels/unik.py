@@ -26,17 +26,13 @@ Equations 9–11). Concretely:
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ...index import BALL_INDEXES
-from ...index.base import compute_spans
 from ..ctx import IterCtx
 from ..linalg import full_dists, pair_dists
 from ..metrics import Counters
 from .base import Kernel, register, top2_from_full
-from .index_kernel import ball_node_dists
 
 
 def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
@@ -83,7 +79,6 @@ class UniKKernel(Kernel):
         return {
             "a": np.full(n, -1, dtype=np.int64),
             "tree": tree,
-            "spans": compute_spans(tree),
             "x2": np.einsum("ij,ij->i", X, X),
             "node_active": np.zeros(m, dtype=bool),    # batch-assigned subtree roots
             "node_assigned": np.full(m, -1, dtype=np.int64),
@@ -115,20 +110,20 @@ class UniKKernel(Kernel):
             counters.bound_update += len(ubn)
 
     def _batch_assign(self, st, i, j) -> None:
-        lo, hi = st["spans"][i]
-        st["a"][st["tree"].perm[lo:hi]] = j
+        tree = st["tree"]
+        lo, hi = tree.pt_start[i], tree.pt_end[i]
+        pts = tree.perm[lo:hi]
+        st["a"][pts] = j
         # Reclaim any individually-tracked points and cached descendants:
         # the whole subtree is now proven nearest to j, so their stale
         # bounds/assignments must not survive. Descendants always have a
         # larger node id (build order) and a span inside [lo, hi).
-        pts = st["tree"].perm[lo:hi]
         if st["pt_mask"][pts].any():
             st["pt_mask"][pts] = False
-        spans = st["spans"]
         desc = np.where(
-            (np.arange(len(spans)) > i)
-            & (spans[:, 0] >= lo)
-            & (spans[:, 1] <= hi)
+            (np.arange(tree.n_nodes) > i)
+            & (tree.pt_start >= lo)
+            & (tree.pt_end <= hi)
         )[0]
         if len(desc):
             st["dissolved"][desc] = False
@@ -141,7 +136,7 @@ class UniKKernel(Kernel):
     def _eval_node(self, X, st, ctx, counters, i, cand, excl_lb, stack) -> None:
         """Evaluate node i against candidate set; batch-assign, recurse or dissolve."""
         tree = st["tree"]
-        d = ball_node_dists(tree.pivot[i], ctx.centers, cand, ctx.c2)
+        d = full_dists(tree.pivot[i : i + 1], ctx.centers[cand], c2=ctx.c2[cand])[0]
         counters.dist += len(cand)
         order = np.argsort(d)
         b = int(cand[order[0]])
@@ -160,18 +155,10 @@ class UniKKernel(Kernel):
         cand2 = cand[keep]
         new_excl = min(excl_lb, float((d[~keep] - r).min()) if (~keep).any() else np.inf)
         if tree.is_leaf(i):
-            lo, hi = st["spans"][i]
-            pts = tree.perm[lo:hi]
-            P = X[pts]
-            D = (
-                st["x2"][pts][:, None]
-                + ctx.c2[cand2][None, :]
-                - 2.0 * P @ ctx.centers[cand2].T
+            pts = tree.perm[tree.pt_start[i] : tree.pt_end[i]]
+            D = full_dists(
+                X[pts], ctx.centers[cand2], counters, x2=st["x2"][pts], c2=ctx.c2[cand2]
             )
-            np.maximum(D, 0.0, out=D)
-            np.sqrt(D, out=D)
-            counters.dist += len(pts) * len(cand2)
-            counters.data_access += len(pts) * len(cand2)
             na, pd1, pd2, _ = top2_from_full(D)
             st["a"][pts] = cand2[na]
             if len(cand2) > max(8, ctx.k // 4):
@@ -273,7 +260,7 @@ class UniKKernel(Kernel):
             self._flat_pass(X, st, ctx, counters)
 
     def footprint(self, st: dict) -> int:
-        tot = st["tree"].nbytes() + st["spans"].nbytes
+        tot = st["tree"].nbytes()
         for key in ("ub", "lb", "node_slack", "node_assigned", "node_active",
                     "dissolved", "pt_mask", "x2"):
             tot += st[key].nbytes

@@ -1,9 +1,19 @@
 """Vectorized distance primitives, k-means++ init, and SSE.
 
+Every point↔centroid and node↔centroid distance a kernel uses comes
+from this module, and the ``x²+c²−2x·c → clamp → sqrt`` formula is
+written once, in :func:`_dists`. The only geometry left inside kernels
+is the kd-tree filtering rule (``kdindex``: box-midpoint and corner
+tests) and blockvector's bound. The index's range search
+(``ArrayTree.range_search``) keeps its own difference-based arithmetic,
+because ball-boundary membership depends on it.
+
 Kernels must never evaluate distances the algorithm would not: use
 ``pair_dists`` with explicit (row, col) index vectors so wall time scales
 with the number of *surviving* candidate pairs, mirroring a per-point
-implementation's cost profile.
+implementation's cost profile. ``x2``/``c2`` are optional precomputed
+squared row norms of the ``X``/``C`` arguments (kernels cache the point
+norms once; centroid norms arrive once per iteration in the ctx).
 """
 from __future__ import annotations
 
@@ -12,16 +22,36 @@ import numpy as np
 from .metrics import Counters
 
 
-def full_dists(X: np.ndarray, C: np.ndarray, counters: Counters | None = None) -> np.ndarray:
-    """All n×k Euclidean distances (Lloyd's assignment grid)."""
-    x2 = np.einsum("ij,ij->i", X, X)
-    c2 = np.einsum("ij,ij->i", C, C)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ C.T)
+def _dists(x2: np.ndarray, c2: np.ndarray, dot: np.ndarray) -> np.ndarray:
+    """‖x−c‖ from ‖x‖², ‖c‖² and x·c (broadcast), clamped at 0.
+
+    ``dot`` is a scratch temporary and is overwritten. The result is
+    ``(x2 + c2) − 2·dot`` rounded exactly so, in one new array: on an
+    n×k grid, each extra temporary costs measurable time.
+    """
+    d2 = x2 + c2
+    dot *= 2.0
+    d2 -= dot
     np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
+def full_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    counters: Counters | None = None,
+    x2: np.ndarray | None = None,
+    c2: np.ndarray | None = None,
+) -> np.ndarray:
+    """All n×k Euclidean distances (Lloyd's assignment grid), one matmul."""
     if counters is not None:
         counters.dist += X.shape[0] * C.shape[0]
         counters.data_access += X.shape[0] * C.shape[0]
-    return np.sqrt(d2)
+    return _dists(
+        (np.einsum("ij,ij->i", X, X) if x2 is None else x2)[:, None],
+        (np.einsum("ij,ij->i", C, C) if c2 is None else c2)[None, :],
+        X @ C.T,
+    )
 
 
 def pair_dists(
@@ -33,30 +63,46 @@ def pair_dists(
     x2: np.ndarray | None = None,
     c2: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Distances for explicit (rows[i], cols[i]) point–centroid pairs.
-
-    ``x2``/``c2`` are optional precomputed squared norms (kernels cache
-    the point norms once; centroid norms once per iteration).
-    """
+    """Distances for explicit (rows[i], cols[i]) point–centroid pairs."""
     if len(rows) == 0:
         return np.empty(0)
-    if x2 is None:
-        xs = X[rows]
-        x2r = np.einsum("ij,ij->i", xs, xs)
-    else:
-        xs = X[rows]
-        x2r = x2[rows]
+    xs = X[rows]
     cs = C[cols]
-    if c2 is None:
-        c2r = np.einsum("ij,ij->i", cs, cs)
-    else:
-        c2r = c2[cols]
-    d2 = x2r + c2r - 2.0 * np.einsum("ij,ij->i", xs, cs)
-    np.maximum(d2, 0.0, out=d2)
     if counters is not None:
         counters.dist += len(rows)
         counters.data_access += len(rows)
-    return np.sqrt(d2)
+    return _dists(
+        np.einsum("ij,ij->i", xs, xs) if x2 is None else x2[rows],
+        np.einsum("ij,ij->i", cs, cs) if c2 is None else c2[cols],
+        np.einsum("ij,ij->i", xs, cs),
+    )
+
+
+def list_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    counters: Counters | None = None,
+    x2: np.ndarray | None = None,
+    c2: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distances from each point X[rows[i]] to its own centroid list C[ids[i]].
+
+    ``ids`` is (len(rows), b) and so is the result. Each point row is read
+    once and broadcast over its list, rather than repeated b times as
+    ``pair_dists`` on the flattened pairs would.
+    """
+    xs = X[rows]
+    cs = C[ids]
+    if counters is not None:
+        counters.dist += ids.size
+        counters.data_access += ids.size
+    return _dists(
+        (np.einsum("ij,ij->i", xs, xs) if x2 is None else x2[rows])[:, None],
+        np.einsum("mbd,mbd->mb", cs, cs) if c2 is None else c2[ids],
+        np.einsum("md,mbd->mb", xs, cs),
+    )
 
 
 def candidate_dists(
@@ -84,14 +130,7 @@ def candidate_dists(
         counters.dist += len(rr)
         counters.data_access += len(rr)
     if len(rr) > dense_threshold * len(r1) * k:
-        rows_x = X[r1]
-        x2r = (
-            np.einsum("ij,ij->i", rows_x, rows_x) if x2 is None else x2[r1]
-        )
-        c2r = np.einsum("ij,ij->i", C, C) if c2 is None else c2
-        d2 = x2r[:, None] + c2r[None, :] - 2.0 * rows_x @ C.T
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2[rr, cols])
+        return full_dists(X[r1], C, x2=None if x2 is None else x2[r1], c2=c2)[rr, cols]
     return pair_dists(X, C, r1[rr], cols, None, x2=x2, c2=c2)
 
 

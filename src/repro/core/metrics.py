@@ -16,7 +16,7 @@ with ``+``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -70,15 +70,3 @@ class Counters:
         """Fraction of the n·k·iters Lloyd distance grid that was avoided."""
         full = n * k * max(1, iters)
         return max(0.0, 1.0 - self.dist / full)
-
-    def as_dict(self) -> dict:
-        return {
-            "dist": self.dist,
-            "data_access": self.data_access,
-            "bound_access": self.bound_access,
-            "bound_update": self.bound_update,
-            "node_access": self.node_access,
-            "assign_time": self.assign_time,
-            "refine_time": self.refine_time,
-            "footprint_bytes": self.footprint_bytes,
-        }

@@ -152,6 +152,14 @@ class _Runner:
         centers0: np.ndarray | None = None,
     ) -> RunResult:
         X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.size == 0:
+            raise ValueError(f"X must be a non-empty 2-D array, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("X holds non-finite values")
+        if centers0 is not None and not np.isfinite(centers0).all():
+            raise ValueError("centers0 holds non-finite values")
+        if not 1 <= k <= X.shape[0]:
+            raise ValueError(f"k must be in [1, n={X.shape[0]}], got {k}")
         centers = (
             centers0.astype(np.float64).copy()
             if centers0 is not None

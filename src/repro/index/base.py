@@ -8,8 +8,8 @@ cheaply through Spark's cached-RDD path and traversals stay vectorized.
 
 Children are stored CSR-style (``child_start``/``child_idx``) so binary
 trees (Ball/kd/M/HKT) and multi-way trees (Cover-tree) share one layout.
-Leaves own a contiguous slice ``perm[pt_start:pt_end]`` of the point
-permutation.
+Every node covers a contiguous slice ``perm[pt_start:pt_end]`` of the
+point permutation; a node's slice is the union of its leaves' slices.
 """
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ..core.metrics import Counters
 
 
 @dataclass
@@ -29,8 +31,8 @@ class ArrayTree:
     height: np.ndarray      # (m,) depth from root
     child_start: np.ndarray # (m+1,) CSR offsets into child_idx
     child_idx: np.ndarray   # flat child node ids
-    pt_start: np.ndarray    # (m,) leaf point-slice start (−1 for internal)
-    pt_end: np.ndarray      # (m,)
+    pt_start: np.ndarray    # (m,) start of the node's covered perm slice
+    pt_end: np.ndarray      # (m,) end (exclusive) of that slice
     perm: np.ndarray        # (n,) permutation of point indices
 
     @property
@@ -60,52 +62,37 @@ class ArrayTree:
             )
         )
 
-    def range_search(self, X: np.ndarray, q: np.ndarray, thresh: float) -> np.ndarray:
-        """Point ids within ``thresh`` of ``q`` (used by the Search method)."""
+    def range_search(
+        self, X: np.ndarray, q: np.ndarray, thresh: float, counters: Counters | None = None
+    ) -> np.ndarray:
+        """Point ids within ``thresh`` of ``q`` (used by the Search method).
+
+        With ``counters``, charges one node access and one pivot distance
+        per visited node, and one distance and data access per leaf point
+        compared against ``q``.
+        """
         out: list[np.ndarray] = []
         stack = [0]
         while stack:
             i = stack.pop()
             dq = float(np.linalg.norm(q - self.pivot[i]))
+            if counters is not None:
+                counters.node_access += 1
+                counters.dist += 1
             if dq - self.radius[i] > thresh:
                 continue
-            ids = self._covered(i)
+            ids = self.perm[self.pt_start[i] : self.pt_end[i]]
             if dq + self.radius[i] <= thresh:
                 out.append(ids)
             elif self.is_leaf(i):
                 d = np.linalg.norm(X[ids] - q[None, :], axis=1)
+                if counters is not None:
+                    counters.dist += len(ids)
+                    counters.data_access += len(ids)
                 out.append(ids[d <= thresh])
             else:
                 stack.extend(self.children(i).tolist())
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
-    def _covered(self, i: int) -> np.ndarray:
-        """All point ids under node ``i`` (leaf slices are contiguous per subtree)."""
-        lo, hi = self._span(i)
-        return self.perm[lo:hi]
-
-    def _span(self, i: int) -> tuple[int, int]:
-        if self.is_leaf(i):
-            return int(self.pt_start[i]), int(self.pt_end[i])
-        spans = [self._span(c) for c in self.children(i)]
-        return min(s for s, _ in spans), max(e for _, e in spans)
-
-
-def compute_spans(tree: "ArrayTree") -> np.ndarray:
-    """(m, 2) perm-slice [lo, hi) per node, bottom-up in linear time.
-
-    Valid because ``build_tree`` assigns child ids after their parent,
-    so a reverse scan sees children before parents.
-    """
-    m = tree.n_nodes
-    spans = np.empty((m, 2), dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        if tree.is_leaf(i):
-            spans[i] = (tree.pt_start[i], tree.pt_end[i])
-        else:
-            ch = tree.children(i)
-            spans[i] = (spans[ch, 0].min(), spans[ch, 1].max())
-    return spans
 
 
 def build_tree(
@@ -118,7 +105,8 @@ def build_tree(
     ``split(idx)`` partitions a set of point indices into ≥2 groups, or
     returns ``None`` to force a leaf. Nodes with ≤ ``capacity`` points
     become leaves. Point slices are laid out contiguously per subtree so
-    any node's covered set is one ``perm`` slice.
+    any node's covered set is one ``perm`` slice, recorded in
+    ``pt_start``/``pt_end`` for every node.
     """
     n, d = X.shape
     pivot, radius, sv, num, psi, height = [], [], [], [], [], []
@@ -150,6 +138,10 @@ def build_tree(
     stack: list[tuple[int, np.ndarray]] = [(root, np.arange(n))]
     while stack:
         i, idx = stack.pop()
+        # The stack is LIFO, so the whole subtree of i is laid out before
+        # any node pushed earlier: its points are the next len(idx) slots.
+        pt_start[i] = cursor
+        pt_end[i] = cursor + len(idx)
         groups = None
         if len(idx) > capacity:
             groups = split(idx)
@@ -158,10 +150,8 @@ def build_tree(
                 if len(groups) < 2:
                     groups = None
         if groups is None:
-            pt_start[i] = cursor
             perm[cursor : cursor + len(idx)] = idx
             cursor += len(idx)
-            pt_end[i] = cursor
             continue
         for g in groups:
             c = new_node(g, pivot[i], height[i] + 1)

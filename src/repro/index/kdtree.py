@@ -45,8 +45,7 @@ def build_kdtree(X: np.ndarray, capacity: int = 1, seed: int = 0) -> KDTree:
     # Every node's covered set is one contiguous perm slice (per-subtree
     # layout guaranteed by build_tree), so boxes come from slice min/max.
     for i in range(m):
-        lo, hi = tree._span(i)
-        pts = X[tree.perm[lo:hi]]
+        pts = X[tree.perm[tree.pt_start[i] : tree.pt_end[i]]]
         bb_min[i] = pts.min(0)
         bb_max[i] = pts.max(0)
     return KDTree(tree=tree, bb_min=bb_min, bb_max=bb_max)

@@ -170,8 +170,7 @@ def test_unik_node_slack_sound(setup):
         act = np.where(st["node_active"] & (st["node_slack"] > 0))[0]
         tree = st["tree"]
         for i in act:
-            lo, hi = st["spans"][i]
-            pts = tree.perm[lo:hi]
+            pts = tree.perm[tree.pt_start[i] : tree.pt_end[i]]
             assert (true_a[pts] == st["node_assigned"][i]).all()
 
     _iterate(X, kern, C0, 5, check)

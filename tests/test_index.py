@@ -11,7 +11,6 @@ from repro.index import (
     build_kdtree,
     build_mtree,
 )
-from repro.index.base import compute_spans
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +36,7 @@ def test_leaves_partition_points(X, name, builder):
 def test_radius_covers_points(X, name, builder):
     t = builder(X)
     for i in range(t.n_nodes):
-        ids = t._covered(i)
+        ids = t.perm[t.pt_start[i] : t.pt_end[i]]
         d = np.linalg.norm(X[ids] - t.pivot[i], axis=1)
         assert d.max() <= t.radius[i] + 1e-9
 
@@ -46,7 +45,7 @@ def test_radius_covers_points(X, name, builder):
 def test_sum_vector_and_num(X, name, builder):
     t = builder(X)
     for i in range(t.n_nodes):
-        ids = t._covered(i)
+        ids = t.perm[t.pt_start[i] : t.pt_end[i]]
         assert np.allclose(t.sv[i], X[ids].sum(0))
         assert t.num[i] == len(ids)
         assert np.allclose(t.pivot[i], t.sv[i] / t.num[i])
@@ -73,11 +72,17 @@ def test_heights_increase_down(X, name, builder):
 
 @pytest.mark.parametrize("name,builder", BUILDERS)
 def test_spans_match_covered(X, name, builder):
+    """Every node's perm slice is the union of the leaf slices under it."""
     t = builder(X)
-    spans = compute_spans(t)
     for i in range(t.n_nodes):
-        lo, hi = spans[i]
-        assert sorted(t.perm[lo:hi]) == sorted(t._covered(i))
+        under, stack = [], [i]
+        while stack:
+            j = stack.pop()
+            if t.is_leaf(j):
+                under.extend(t.leaf_points(j))
+            else:
+                stack.extend(t.children(j))
+        assert sorted(t.perm[t.pt_start[i] : t.pt_end[i]]) == sorted(under)
 
 
 @pytest.mark.parametrize("capacity", [1, 10, 30, 100])
@@ -95,7 +100,7 @@ def test_kdtree_bboxes(X):
     kt = build_kdtree(X[:400], capacity=4)
     Y = X[:400]
     for i in range(kt.tree.n_nodes):
-        ids = kt.tree._covered(i)
+        ids = kt.tree.perm[kt.tree.pt_start[i] : kt.tree.pt_end[i]]
         assert (Y[ids] >= kt.bb_min[i] - 1e-12).all()
         assert (Y[ids] <= kt.bb_max[i] + 1e-12).all()
 

@@ -8,6 +8,7 @@ from repro.core.linalg import (
     cdist_cc,
     full_dists,
     kmeans_pp_init,
+    list_dists,
     pair_dists,
     random_init,
     sse,
@@ -48,14 +49,31 @@ def test_pair_dists_matches_brute(xc):
 
 
 def test_pair_dists_with_cached_norms(xc):
+    """pair_dists takes the norms of all of X and C; full_dists those of
+    the rows it is given, down to one row (how a tree node's pivot is
+    evaluated)."""
     X, C = xc
     x2 = np.einsum("ij,ij->i", X, X)
     c2 = np.einsum("ij,ij->i", C, C)
     rows = np.array([0, 3, 10])
     cols = np.array([1, 2, 8])
-    assert np.allclose(
-        pair_dists(X, C, rows, cols, x2=x2, c2=c2), _brute(X, C)[rows, cols]
-    )
+    ref = _brute(X, C)
+    assert np.allclose(pair_dists(X, C, rows, cols, x2=x2, c2=c2), ref[rows, cols])
+    for r in (rows, rows[:1]):
+        got = full_dists(X[r], C[cols], x2=x2[r], c2=c2[cols])
+        assert np.allclose(got, ref[np.ix_(r, cols)])
+
+
+def test_list_dists_matches_brute(xc):
+    """Each point against its own centroid list; counts one per pair."""
+    X, C = xc
+    rng = np.random.default_rng(3)
+    rows = rng.choice(50, 12, replace=False)
+    ids = rng.integers(0, 9, (12, 4))
+    c = Counters()
+    got = list_dists(X, C, rows, ids, c)
+    assert np.allclose(got, _brute(X, C)[rows[:, None], ids])
+    assert c.dist == c.data_access == ids.size
 
 
 def test_pair_dists_empty(xc):
@@ -74,6 +92,8 @@ def test_candidate_dists_sparse_dense_agree(xc, density):
     ref = _brute(X[r1], C)[rr, cols]
     got = candidate_dists(X, C, r1, rr, cols, Counters())
     assert np.allclose(got, ref)
+    if density > 0.35:  # dense branch: the rows' full grid, then the pairs
+        assert np.array_equal(got, full_dists(X[r1], C)[rr, cols])
 
 
 def test_candidate_dists_counts_only_pairs(xc):

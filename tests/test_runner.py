@@ -90,6 +90,23 @@ def test_fixed_centers0_reproducible(X):
     assert np.allclose(a.centers, b.centers)
 
 
+@pytest.mark.parametrize(
+    "Xb,k,centers0,match",
+    [
+        (np.empty((0, 3)), 1, None, "non-empty 2-D"),
+        (np.arange(6.0), 2, None, "non-empty 2-D"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), 2, None, "X holds non-finite"),
+        (np.eye(3), 2, np.full((2, 3), np.inf), "centers0 holds non-finite"),
+        (np.eye(3), 0, None, "k must be"),
+        (np.eye(3), 4, None, "k must be"),
+    ],
+    ids=["empty", "1-d", "nan-X", "inf-centers0", "k=0", "k>n"],
+)
+def test_run_rejects_bad_input(Xb, k, centers0, match):
+    with pytest.raises(ValueError, match=match):
+        LocalRunner().run(Xb, k, make_kernel("lloyd"), n_iters=2, centers0=centers0)
+
+
 def test_counters_populated(X):
     res = LocalRunner().run(X, 8, make_kernel("yinyang"), n_iters=5, seed=1)
     c = res.counters
